@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Build and run the Padico wall-clock benchmark.
 
-    python3 perfbench/run.py --workload rpc_small --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload rpc_small --seed 1 --seconds 20 --trace 0
     python3 perfbench/run.py --self-test
 
-A run builds the program's libraries and the perfbench driver from source
+A run builds the program's libraries and the perfbench binary from source
 (CMake, into .bench_build/ at the repository root), then runs one workload.
 The last line of standard output is the JSON result:
 {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}.
@@ -35,7 +35,7 @@ def log(*args):
 
 
 def build():
-    """Configure (once) and build the driver; raises on failure."""
+    """Configure (once) and build the benchmark binary; raises on failure."""
     BUILD.mkdir(parents=True, exist_ok=True)
     with open(BUILD / ".lock", "w") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
@@ -57,7 +57,7 @@ def clean_env():
 
 
 def run_binary(args):
-    """Run the driver; returns (exit code, stdout text)."""
+    """Run the benchmark binary; returns (exit code, stdout text)."""
     try:
         proc = subprocess.run([str(BINARY)] + args, stdout=subprocess.PIPE,
                               env=clean_env(), text=True,
@@ -105,10 +105,11 @@ def self_test():
         if not ok:
             problems.append(what)
 
-    # 1. Every metric BENCHMARK.json names is printed, with its unit.
+    # 1. Every metric BENCHMARK.json names is printed, with its unit, by the
+    #    gated workloads and by gridccm_fanout, which is measured but not
+    #    gated (see LAYERS.md).
     traced = {}
-    for wl in spec["workloads"]:
-        name = wl["name"]
+    for name in [w["name"] for w in spec["workloads"]] + ["gridccm_fanout"]:
         for trace, key in ((False, "end_to_end"), (True, "per_layer")):
             code, _, res = run(name, 1, 2, trace)
             expect(code == 0 and res is not None,
