@@ -136,20 +136,25 @@ def self_test():
                f"rpc_small trace={int(trace)}: a pin off by 1 ns fails "
                f"operations")
 
-    # 3. The rpc ladder's self times sum to its top rung, and the virtual
-    #    sum is the pinned 39.724 us round trip.
+    # 3. The rpc ladder's virtual self times sum to its top rung, the pinned
+    #    39.724 us round trip. A self time is a rung minus the one below, so
+    #    the sum alone would hold by construction: each self time is checked
+    #    against its own DESIGN.md section 7 cost-model term instead.
     m = traced.get("rpc_small")
     if m is not None:
-        layers = ["fabric.rtt_self", "madeleine.rtt_self", "padicotm.rtt_self",
-                  "svc_corba.rtt_self", "corba_stub.rtt_self"]
-        top = "corba.invoke_rtt"
-        for kind, tol in (("virt", 1e-9), ("wall", 1e-6)):
-            total = sum(m[f"{l}_{kind}_us"]["value"] for l in layers)
-            expect(abs(total - m[f"{top}_{kind}_us"]["value"]) <= tol,
-                   f"rpc ladder {kind} self times sum to the top rung "
-                   f"({total:.3f} us)")
-        expect(abs(m["corba.invoke_rtt_virt_us"]["value"] - 39.724) < 1e-9,
-               "rpc ladder top rung is the pinned 39.724 us")
+        model = {"fabric.rtt_self": 2 * 7 + 0.324,
+                 "madeleine.rtt_self": 2 * (1.2 + 1.2),
+                 "padicotm.rtt_self": 2 * 0.3,
+                 "svc_corba.rtt_self": 2 * 5.0,
+                 "corba_stub.rtt_self": 2 * 5.0}
+        for layer, want in model.items():
+            got = m[f"{layer}_virt_us"]["value"]
+            expect(abs(got - want) < 1e-9,
+                   f"rpc ladder {layer} is {want:.3f} virtual us "
+                   f"(got {got:.3f})")
+        expect(abs(sum(model.values()) - 39.724) < 1e-9
+               and abs(m["corba.invoke_rtt_virt_us"]["value"] - 39.724) < 1e-9,
+               "rpc ladder self times sum to the pinned 39.724 us top rung")
 
     # 4. The traced run wrote a loadable Chrome trace.
     path = OUT / "trace-rpc_small-1.json"

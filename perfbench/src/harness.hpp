@@ -120,6 +120,26 @@ inline constexpr padico::SimTime kMadeleineRtt = 19124;
 inline constexpr padico::SimTime kPadicotmRtt = 19724;
 inline constexpr padico::SimTime kGiopRtt = 29724;
 inline constexpr padico::SimTime kMpiRtt = 23391;
+/// The DESIGN.md §7 cost model of the same round trip (two messages), split
+/// by the layer each rpc_small rung adds. The rung pins above are measured
+/// values; these terms come from the calibration constants, so each
+/// layer's self time (a rung minus the one below) is checked on its own.
+namespace model {
+/// Myrinet-2000: 7 us hardware latency each way plus the wire time of the
+/// request and reply bytes.
+inline constexpr padico::SimTime kFabric = 2 * 7000 + 324;
+/// Madeleine: 1.2 us to send and 1.2 us to receive each message.
+inline constexpr padico::SimTime kMadeleine = 2 * (1200 + 1200);
+/// PadicoTM: 0.3 us demux per message.
+inline constexpr padico::SimTime kPadicotm = 2 * 300;
+/// Server core and ORB server: omniORB-4's 5 us per message, both ways.
+inline constexpr padico::SimTime kSvcCorba = 2 * 5000;
+/// Client stub: the same 5 us per message on the caller's side.
+inline constexpr padico::SimTime kCorbaStub = 2 * 5000;
+static_assert(kFabric + kMadeleine + kPadicotm + kSvcCorba + kCorbaStub ==
+                  kRpcRtt,
+              "the cost model must add up to the pinned echo round trip");
+} // namespace model
 /// stream ladder rungs: one window of 16 one-way 1 MiB messages plus its
 /// acknowledgement, single flow.
 inline constexpr padico::SimTime kFabricStream = 69919060;

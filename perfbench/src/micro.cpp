@@ -8,8 +8,8 @@
 #include "corba/cdr.hpp"
 #include "fabric/busylist.hpp"
 #include "gridccm/distribution.hpp"
-#include "harness.hpp"
 #include "osal/queue.hpp"
+#include "testbed.hpp"
 
 namespace perfbench {
 
@@ -64,15 +64,7 @@ void micro_hot_calls(Metrics& m) {
               }),
               "ns");
     }
-    const auto request = [] {
-        corba::cdr::Encoder req(true);
-        req.put_u64(7);
-        req.put_u64(1);
-        req.put_bool(true);
-        req.put_string("echo");
-        req.put_message(corba::cdr::encode(true, std::uint32_t{42}));
-        return req.take();
-    };
+    const auto request = [] { return echo_request_body(7, 1, 42); };
     {
         constexpr std::size_t kCalls = 200000;
         m.set("corba.cdr_encode_req_ns", ns_per_call(kCalls, [&] {

@@ -5,6 +5,7 @@
 /// spans, reading the program's public counters, and a guard that keeps a
 /// failing simulated process from leaving its peers blocked forever.
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -50,6 +51,12 @@ inline std::unique_ptr<padico::ptm::Runtime> start_runtime(
 
 /// Public counters of one runtime (and of its ORB's server core, if any).
 Counts counts_of(padico::ptm::Runtime& rt, const padico::corba::Orb* orb);
+
+/// CDR body of the GIOP request echo(\p v) with request id \p id to object
+/// key \p key, byte for byte what ObjectRef sends (rpc_small's ladder and
+/// the CDR hot-call timing both use it).
+padico::util::Message echo_request_body(std::uint64_t id, std::uint64_t key,
+                                        std::uint32_t v);
 
 /// Runs \p body; any exception becomes one failed operation. \p always
 /// runs afterwards either way (it releases peers waiting on this process).
